@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race tier1 bench bench-smoke bench-campaign bench-json bench-reuse bench-sharded bench-checkpoint bench-tree bench-adaptive bench-daemon bench-obs bench-fabric fuzz-smoke daemon-e2e fabric-e2e
+.PHONY: all build vet test race tier1 bench bench-smoke bench-campaign bench-json bench-reuse bench-sharded bench-checkpoint bench-tree bench-ecu bench-adaptive bench-daemon bench-obs bench-fabric fuzz-smoke daemon-e2e fabric-e2e
 
 all: tier1
 
@@ -60,6 +60,12 @@ bench-checkpoint:
 bench-tree:
 	$(GO) run ./cmd/benchjson -bench BenchmarkCampaignTree -benchtime 10x -o BENCH_PR8.json .
 
+# ECU model layer per scenario: plain, tree and tree+early-exit
+# campaigns on a live-window SEU universe at 2 workers, with allocs;
+# regenerates the committed BENCH_PR13.json snapshot.
+bench-ecu:
+	$(GO) run ./cmd/benchjson -bench BenchmarkECUCampaign -benchtime 20x -o BENCH_PR13.json ./internal/ecu
+
 # Adaptive (signature-novelty) campaign vs blind Monte-Carlo at an
 # equal simulated-run budget on the E8-derived CAPS universe (the
 # PR 10 tentpole). The bench itself asserts the >=2x unique-outcome
@@ -78,6 +84,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/journal
 	$(GO) test -run=NONE -fuzz=FuzzJournalBinary -fuzztime=$(FUZZTIME) ./internal/journal
 	$(GO) test -run=NONE -fuzz=FuzzCampaignSpec -fuzztime=$(FUZZTIME) ./internal/campaignd
+	$(GO) test -run=NONE -fuzz=FuzzECUDigest -fuzztime=$(FUZZTIME) ./internal/ecu
 
 # Campaign-service end-to-end: the goldenfile CLI harness plus the
 # capsimd daemon lifecycle matrix (kill/restart resume, concurrent

@@ -1,6 +1,7 @@
 package campaignd
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -73,11 +74,29 @@ func FabricText(spec *Spec, scenarios int) func(*stressor.Result) string {
 // runners are cached by RunnerKey for the life of the worker — the
 // same amortization the daemon's runner cache provides, so successive
 // leases (and successive campaigns against one long-lived worker) skip
-// prototype elaboration and the golden run.
+// prototype elaboration and the golden run. The most recent resolution
+// is cached too, keyed by the SHA-256 of the raw spec bytes: a
+// campaign's leases all carry the same spec, so only its first lease
+// pays for parsing, validation and scenario enumeration, and a worker
+// that moves on to another spec holds one resolution, not one per spec
+// it has seen. The key keeps no copy of the spec, which for a large
+// inline universe is a quarter of the resolution's footprint. The
+// Resolved is shared between those leases; the worker copies the
+// campaign template and the engine only reads the scenario slice.
 func FabricResolver(log *slog.Logger) fabric.Resolver {
 	var mu sync.Mutex
 	runners := map[string]*caps.Runner{}
+	var lastSpec [sha256.Size]byte
+	var last *fabric.Resolved
 	return func(raw json.RawMessage) (*fabric.Resolved, error) {
+		specKey := sha256.Sum256(raw)
+		mu.Lock()
+		if last != nil && lastSpec == specKey {
+			res := last
+			mu.Unlock()
+			return res, nil
+		}
+		mu.Unlock()
 		spec, err := ParseSpec(raw)
 		if err != nil {
 			return nil, err
@@ -122,6 +141,10 @@ func FabricResolver(log *slog.Logger) fabric.Resolver {
 			c.EarlyExit = spec.EarlyExit
 			c.HashStride = spec.Stride()
 		}
-		return &fabric.Resolved{Scenarios: scenarios, Campaign: c}, nil
+		res := &fabric.Resolved{Scenarios: scenarios, Campaign: c}
+		mu.Lock()
+		lastSpec, last = specKey, res
+		mu.Unlock()
+		return res, nil
 	}
 }

@@ -44,6 +44,10 @@ type coreRunner struct {
 	local sim.Time
 	phase uint8
 	err   error
+	// delay receives each instruction's consumed time. It lives here,
+	// not on the stack, because the bus call leaks its address: a
+	// local would cost one heap allocation per instruction.
+	delay sim.Time
 }
 
 // elaborate registers the runner's event and method process on the
@@ -75,14 +79,14 @@ func (c *coreRunner) step() {
 		return
 	}
 	for !c.cpu.halted {
-		var d sim.Time
-		if err := c.cpu.Step(&d); err != nil {
+		c.delay = 0
+		if err := c.cpu.Step(&c.delay); err != nil {
 			// The failing step's own consumed time is not synchronized,
-			// exactly as CPU.Run's error path (d was never Inc'd).
+			// exactly as CPU.Run's error path (its delay was never Inc'd).
 			c.finish(err)
 			return
 		}
-		c.local += d
+		c.local += c.delay
 		if c.local > c.quantum {
 			d := c.local
 			c.local = 0

@@ -206,8 +206,11 @@ func (c *CPU) Step(delay *sim.Time) error {
 // runaway (corrupted) programs; 0 means unbounded. Run returns when
 // the core halts, faults, or hits the bound.
 func (c *CPU) Run(ctx *sim.ThreadCtx, qk *tlm.QuantumKeeper, maxInstrs uint64) error {
+	// One delay word for the whole loop: the bus call leaks its
+	// address, so a per-iteration local would allocate per instruction.
+	var d sim.Time
 	for !c.halted {
-		var d sim.Time
+		d = 0
 		if err := c.Step(&d); err != nil {
 			qk.Sync()
 			return err

@@ -2,6 +2,7 @@ package ecu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sim"
 	"repro/internal/tlm"
@@ -56,49 +57,47 @@ var dataPositions = func() [32]int {
 	return out
 }()
 
+// checkMasks[b] selects the data bits whose codeword position has bit
+// b set: Hamming check bit b is the parity of data&checkMasks[b].
+var checkMasks = func() [6]uint32 {
+	var out [6]uint32
+	for b := range out {
+		for i, pos := range dataPositions {
+			if pos&(1<<b) != 0 {
+				out[b] |= 1 << i
+			}
+		}
+	}
+	return out
+}()
+
+// syndromeBit maps a Hamming syndrome to the data bit it locates, or
+// -1 when the syndrome names no data position (0 or a check bit).
+var syndromeBit = func() [64]int8 {
+	var out [64]int8
+	for i := range out {
+		out[i] = -1
+	}
+	for i, pos := range dataPositions {
+		out[pos] = int8(i)
+	}
+	return out
+}()
+
+// parity reports the parity of a 32-bit word as 0 or 1.
+func parity(v uint32) uint8 { return uint8(bits.OnesCount32(v) & 1) }
+
 // eccEncode computes the 7 check bits (6 Hamming + overall parity in
 // bit 6) for a data word.
 func eccEncode(data uint32) uint8 {
-	// Hamming bits: parity over codeword positions with that bit set.
-	var check uint8
-	for b := 0; b < 6; b++ {
-		mask := 1 << b
-		parity := 0
-		for i := 0; i < 32; i++ {
-			if dataPositions[i]&mask != 0 && data>>uint(i)&1 == 1 {
-				parity ^= 1
-			}
-		}
-		if parity == 1 {
-			check |= 1 << b
-		}
-	}
+	check := parity(data&checkMasks[0]) |
+		parity(data&checkMasks[1])<<1 |
+		parity(data&checkMasks[2])<<2 |
+		parity(data&checkMasks[3])<<3 |
+		parity(data&checkMasks[4])<<4 |
+		parity(data&checkMasks[5])<<5
 	// Overall parity over data bits and the 6 check bits.
-	parity := 0
-	for i := 0; i < 32; i++ {
-		if data>>uint(i)&1 == 1 {
-			parity ^= 1
-		}
-	}
-	for b := 0; b < 6; b++ {
-		if check>>uint(b)&1 == 1 {
-			parity ^= 1
-		}
-	}
-	if parity == 1 {
-		check |= 1 << 6
-	}
-	return check
-}
-
-// parity32 computes the parity of a 32-bit word.
-func parity32(v uint32) uint8 {
-	v ^= v >> 16
-	v ^= v >> 8
-	v ^= v >> 4
-	v ^= v >> 2
-	v ^= v >> 1
-	return uint8(v & 1)
+	return check | parity(data^uint32(check))<<6
 }
 
 // eccDecode checks and (when possible) corrects a received word.
@@ -107,13 +106,8 @@ func parity32(v uint32) uint8 {
 // received codeword (data + check + parity bit), so any single flip —
 // including in a check bit — makes it odd.
 func eccDecode(data uint32, check uint8) (corrected uint32, status ECCStatus) {
-	expect := eccEncode(data)
-	syndrome := (check ^ expect) & 0x3f
-	var chkParity uint8
-	for b := 0; b < 7; b++ {
-		chkParity ^= check >> uint(b) & 1
-	}
-	parityErr := parity32(data)^chkParity == 1
+	syndrome := (check ^ eccEncode(data)) & 0x3f
+	parityErr := parity(data^uint32(check&0x7f)) == 1
 	switch {
 	case syndrome == 0 && !parityErr:
 		return data, ECCOk
@@ -121,13 +115,8 @@ func eccDecode(data uint32, check uint8) (corrected uint32, status ECCStatus) {
 		// Single-bit error at codeword position = syndrome (0 means
 		// the overall parity bit itself flipped; check-bit positions
 		// mean a check bit flipped — data unaffected either way).
-		if syndrome != 0 && int(syndrome)&(int(syndrome)-1) != 0 {
-			// Data-bit position: locate and flip.
-			for i := 0; i < 32; i++ {
-				if dataPositions[i] == int(syndrome) {
-					return data ^ 1<<uint(i), ECCCorrected
-				}
-			}
+		if i := syndromeBit[syndrome]; i >= 0 {
+			return data ^ 1<<uint(i), ECCCorrected
 		}
 		return data, ECCCorrected
 	default:
@@ -146,6 +135,13 @@ type ECCMemory struct {
 	words []uint32
 	check []uint8
 
+	// digest is the content digest HashState folds instead of the
+	// codeword arrays: the sum mod 2^64 of cellDigest over all cells,
+	// kept current at every site that stores a codeword (see setCell).
+	// zeroDigest is its value for the all-zero image Clear restores.
+	digest     uint64
+	zeroDigest uint64
+
 	ReadLatency  sim.Time
 	WriteLatency sim.Time
 
@@ -161,15 +157,51 @@ type ECCMemory struct {
 // precomputed so bulk initialization does not re-derive it per cell.
 var zeroCheck = eccEncode(0)
 
+// maxECCWords bounds the memory so a cell's index, check byte and data
+// word pack losslessly into the 64-bit input of cellDigest.
+const maxECCWords = 1 << 25
+
+// fmix64 is the murmur3 64-bit finalizer: a bijective mix that spreads
+// every input bit over the whole output word.
+func fmix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
+// cellDigest is cell i's contribution to the content digest: fmix64 of
+// the packed (index, check, word) triple, so distinct cells contribute
+// independent-looking words and the sum changes whenever any cell
+// does. Check bytes hold 7 bits (FlipStoredBit flips at most bit 38).
+func cellDigest(i int, word uint32, check uint8) uint64 {
+	return fmix64(uint64(i)<<39 | uint64(check&0x7f)<<32 | uint64(word))
+}
+
 // NewECCMemory creates size bytes (rounded down to whole words) at
 // base.
 func NewECCMemory(name string, base uint64, size int) *ECCMemory {
 	n := size / 4
+	if n > maxECCWords {
+		panic(fmt.Sprintf("ecu: ECC memory %q: %d words exceeds %d", name, n, maxECCWords))
+	}
 	m := &ECCMemory{name: name, base: base, words: make([]uint32, n), check: make([]uint8, n)}
 	for i := range m.check {
 		m.check[i] = zeroCheck
+		m.zeroDigest += cellDigest(i, 0, zeroCheck)
 	}
+	m.digest = m.zeroDigest
 	return m
+}
+
+// setCell stores a codeword, keeping the content digest current. Every
+// codeword store goes through here.
+func (m *ECCMemory) setCell(i int, word uint32, check uint8) {
+	m.digest += cellDigest(i, word, check) - cellDigest(i, m.words[i], m.check[i])
+	m.words[i] = word
+	m.check[i] = check
 }
 
 // Clear returns the memory to its freshly constructed all-zero state
@@ -181,6 +213,7 @@ func (m *ECCMemory) Clear() {
 	for i := range m.check {
 		m.check[i] = zeroCheck
 	}
+	m.digest = m.zeroDigest
 	m.corrected = 0
 	m.uncorrectable = 0
 }
@@ -228,8 +261,7 @@ func (m *ECCMemory) BTransport(p *tlm.Payload, delay *sim.Time) {
 			m.corrected++
 			*delay += m.CorrectionDelay
 			// Scrub: write back the corrected word.
-			m.words[i] = data
-			m.check[i] = eccEncode(data)
+			m.setCell(i, data, eccEncode(data))
 		case ECCUncorrectable:
 			m.uncorrectable++
 			p.Response = tlm.RespGenericError
@@ -241,8 +273,7 @@ func (m *ECCMemory) BTransport(p *tlm.Payload, delay *sim.Time) {
 		p.Data[3] = byte(data >> 24)
 	case tlm.CmdWrite:
 		v := uint32(p.Data[0]) | uint32(p.Data[1])<<8 | uint32(p.Data[2])<<16 | uint32(p.Data[3])<<24
-		m.words[i] = v
-		m.check[i] = eccEncode(v)
+		m.setCell(i, v, eccEncode(v))
 		*delay += m.WriteLatency
 	default:
 		p.Response = tlm.RespCommandError
@@ -274,8 +305,7 @@ func (m *ECCMemory) TransportDbg(p *tlm.Payload) int {
 			p.Data[4*w+3] = byte(v >> 24)
 		case tlm.CmdWrite:
 			v := uint32(p.Data[4*w]) | uint32(p.Data[4*w+1])<<8 | uint32(p.Data[4*w+2])<<16 | uint32(p.Data[4*w+3])<<24
-			m.words[i] = v
-			m.check[i] = eccEncode(v)
+			m.setCell(i, v, eccEncode(v))
 		}
 	}
 	p.Response = tlm.RespOK
@@ -292,9 +322,9 @@ func (m *ECCMemory) FlipStoredBit(addr uint64, bit uint) error {
 	}
 	switch {
 	case bit < 32:
-		m.words[i] ^= 1 << bit
+		m.setCell(i, m.words[i]^1<<bit, m.check[i])
 	case bit < 39:
-		m.check[i] ^= 1 << (bit - 32)
+		m.setCell(i, m.words[i], m.check[i]^1<<(bit-32))
 	default:
 		return fmt.Errorf("ecu: FlipStoredBit: bit %d out of codeword", bit)
 	}

@@ -15,12 +15,16 @@ import (
 // is at store granularity: a corrupted register that never reaches a
 // store stays latent, exactly as in real lockstep designs.
 type Lockstep struct {
-	Primary  *CPU
-	Shadow   *CPU
-	pLog     []storeRec
-	sLog     []storeRec
-	diverged bool
-	detail   string
+	Primary *CPU
+	Shadow  *CPU
+	pLog    []storeRec
+	sLog    []storeRec
+	// pDig and sDig are running digests of the two logs (mixStore
+	// folded over every record), which HashState folds instead of
+	// rescanning logs that a runaway core grows to MaxInstrs records.
+	pDig, sDig uint64
+	diverged   bool
+	detail     string
 }
 
 type storeRec struct {
@@ -30,16 +34,25 @@ type storeRec struct {
 // NewLockstep wires the comparator onto two cores.
 func NewLockstep(primary, shadow *CPU) *Lockstep {
 	ls := &Lockstep{Primary: primary, Shadow: shadow}
-	primary.StoreHook = func(addr, val uint32) { ls.record(&ls.pLog, &ls.sLog, addr, val, "primary") }
-	shadow.StoreHook = func(addr, val uint32) { ls.record(&ls.sLog, &ls.pLog, addr, val, "shadow") }
+	primary.StoreHook = func(addr, val uint32) { ls.record(&ls.pLog, &ls.sLog, &ls.pDig, addr, val, "primary") }
+	shadow.StoreHook = func(addr, val uint32) { ls.record(&ls.sLog, &ls.pLog, &ls.sDig, addr, val, "shadow") }
 	return ls
 }
 
-// record appends to own log and compares against the counterpart at
-// the same index if already present.
-func (ls *Lockstep) record(own, other *[]storeRec, addr, val uint32, who string) {
+// mixStore folds one store record into a log's running digest: fmix64
+// of the digest plus the packed record, so the digest depends on every
+// record and on their order.
+func mixStore(digest uint64, r storeRec) uint64 {
+	return fmix64(digest + (uint64(r.addr)<<32 | uint64(r.val)) + 0x9e3779b97f4a7c15)
+}
+
+// record appends to own log, folding the record into the log's digest,
+// and compares against the counterpart at the same index if already
+// present.
+func (ls *Lockstep) record(own, other *[]storeRec, digest *uint64, addr, val uint32, who string) {
 	idx := len(*own)
 	*own = append(*own, storeRec{addr, val})
+	*digest = mixStore(*digest, storeRec{addr, val})
 	if idx < len(*other) {
 		o := (*other)[idx]
 		if o.addr != addr || o.val != val {
@@ -62,6 +75,7 @@ func (ls *Lockstep) flag(idx int, who string, addr, val uint32, o storeRec) {
 func (ls *Lockstep) Reset() {
 	ls.pLog = ls.pLog[:0]
 	ls.sLog = ls.sLog[:0]
+	ls.pDig, ls.sDig = 0, 0
 	ls.diverged = false
 	ls.detail = ""
 }

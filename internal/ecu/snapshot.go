@@ -44,6 +44,7 @@ func (c *CPU) restoreFrom(st *cpuState) {
 type eccState struct {
 	words         []uint32
 	check         []uint8
+	digest        uint64
 	corrected     uint64
 	uncorrectable uint64
 }
@@ -51,6 +52,7 @@ type eccState struct {
 func (m *ECCMemory) captureInto(st *eccState) {
 	st.words = append(st.words[:0], m.words...)
 	st.check = append(st.check[:0], m.check...)
+	st.digest = m.digest
 	st.corrected = m.corrected
 	st.uncorrectable = m.uncorrectable
 }
@@ -58,6 +60,7 @@ func (m *ECCMemory) captureInto(st *eccState) {
 func (m *ECCMemory) restoreFrom(st *eccState) {
 	copy(m.words, st.words)
 	copy(m.check, st.check)
+	m.digest = st.digest
 	m.corrected = st.corrected
 	m.uncorrectable = st.uncorrectable
 }
@@ -70,8 +73,25 @@ type wdState struct {
 
 type lsState struct {
 	pLog, sLog []storeRec
+	pDig, sDig uint64
 	diverged   bool
 	detail     string
+}
+
+func (ls *Lockstep) captureInto(st *lsState) {
+	st.pLog = append(st.pLog[:0], ls.pLog...)
+	st.sLog = append(st.sLog[:0], ls.sLog...)
+	st.pDig, st.sDig = ls.pDig, ls.sDig
+	st.diverged = ls.diverged
+	st.detail = ls.detail
+}
+
+func (ls *Lockstep) restoreFrom(st *lsState) {
+	ls.pLog = append(ls.pLog[:0], st.pLog...)
+	ls.sLog = append(ls.sLog[:0], st.sLog...)
+	ls.pDig, ls.sDig = st.pDig, st.sDig
+	ls.diverged = st.diverged
+	ls.detail = st.detail
 }
 
 type crState struct {
@@ -108,10 +128,7 @@ func (s *ecuSlot) SnapshotState() any {
 	s.shadow.captureInto(&st.shadow)
 	s.pram.captureInto(&st.pram)
 	s.sram.captureInto(&st.sram)
-	st.ls.pLog = append([]storeRec(nil), s.ls.pLog...)
-	st.ls.sLog = append([]storeRec(nil), s.ls.sLog...)
-	st.ls.diverged = s.ls.diverged
-	st.ls.detail = s.ls.detail
+	s.ls.captureInto(&st.ls)
 	return st
 }
 
@@ -130,10 +147,7 @@ func (s *ecuSlot) SnapshotStateInto(prev any) any {
 	s.sram.captureInto(&st.sram)
 	st.wdshadow = s.wdshadow.SnapshotStateInto(st.wdshadow)
 	st.wd = wdState{enabled: s.wd.enabled, timeouts: s.wd.timeouts, kicks: s.wd.kicks}
-	st.ls.pLog = append(st.ls.pLog[:0], s.ls.pLog...)
-	st.ls.sLog = append(st.ls.sLog[:0], s.ls.sLog...)
-	st.ls.diverged = s.ls.diverged
-	st.ls.detail = s.ls.detail
+	s.ls.captureInto(&st.ls)
 	st.pRun = crState{local: s.pRun.local, phase: s.pRun.phase, err: s.pRun.err}
 	st.sRun = crState{local: s.sRun.local, phase: s.sRun.phase, err: s.sRun.err}
 	st.pDone, st.sDone = s.pDone, s.sDone
@@ -149,6 +163,11 @@ func (s *ecuSlot) SnapshotStateInto(prev any) any {
 // memory and counters, the lockstep store logs (FinalCheck compares
 // them after the run) and the halt/error latches. The ECU slot keeps
 // no diagnostics-only state, so nothing is excluded.
+//
+// The two large parts — the 64 KiB codeword images and the store logs,
+// which a runaway core grows to MaxInstrs records — are folded through
+// digests their owners maintain at every mutation and carry in the
+// snapshot, so a digest costs O(1) however large they are.
 func (s *ecuSlot) HashState(h *sim.StateHash) {
 	hashCPU(h, s.primary)
 	hashCPU(h, s.shadow)
@@ -158,8 +177,8 @@ func (s *ecuSlot) HashState(h *sim.StateHash) {
 	h.Bool(s.wd.enabled)
 	h.U64(s.wd.timeouts)
 	h.U64(s.wd.kicks)
-	hashStores(h, s.ls.pLog)
-	hashStores(h, s.ls.sLog)
+	hashStores(h, s.ls.pLog, s.ls.pDig)
+	hashStores(h, s.ls.sLog, s.ls.sDig)
 	h.Bool(s.ls.diverged)
 	h.Str(s.ls.detail)
 	hashCoreRun(h, s.pRun.local, s.pRun.phase, s.pRun.err)
@@ -169,6 +188,16 @@ func (s *ecuSlot) HashState(h *sim.StateHash) {
 	hashErr(h, s.pErr)
 	hashErr(h, s.sErr)
 	h.Time(s.haltAt)
+}
+
+// NeverConverges implements stressor.Divergent: a fired lockstep
+// comparator, a watchdog timeout or an ECC correction is a latch the
+// golden run never sets (NewRunner rejects a golden run that trips a
+// mechanism), and none of them ever clears within a run.
+func (s *ecuSlot) NeverConverges() bool {
+	pc, pu := s.pram.Stats()
+	sc, su := s.sram.Stats()
+	return s.ls.diverged || s.wd.timeouts > 0 || pc+pu+sc+su > 0
 }
 
 func hashCPU(h *sim.StateHash, c *CPU) {
@@ -185,20 +214,14 @@ func hashCPU(h *sim.StateHash, c *CPU) {
 
 func hashECC(h *sim.StateHash, m *ECCMemory) {
 	h.Int(len(m.words))
-	for _, w := range m.words {
-		h.U32(w)
-	}
-	h.Bytes(m.check)
+	h.U64(m.digest)
 	h.U64(m.corrected)
 	h.U64(m.uncorrectable)
 }
 
-func hashStores(h *sim.StateHash, log []storeRec) {
+func hashStores(h *sim.StateHash, log []storeRec, digest uint64) {
 	h.Int(len(log))
-	for _, r := range log {
-		h.U32(r.addr)
-		h.U32(r.val)
-	}
+	h.U64(digest)
 }
 
 func hashCoreRun(h *sim.StateHash, local sim.Time, phase uint8, err error) {
@@ -231,10 +254,7 @@ func (s *ecuSlot) RestoreState(state any) {
 	s.wd.enabled = st.wd.enabled
 	s.wd.timeouts = st.wd.timeouts
 	s.wd.kicks = st.wd.kicks
-	s.ls.pLog = append(s.ls.pLog[:0], st.ls.pLog...)
-	s.ls.sLog = append(s.ls.sLog[:0], st.ls.sLog...)
-	s.ls.diverged = st.ls.diverged
-	s.ls.detail = st.ls.detail
+	s.ls.restoreFrom(&st.ls)
 	s.pRun.local, s.pRun.phase, s.pRun.err = st.pRun.local, st.pRun.phase, st.pRun.err
 	s.sRun.local, s.sRun.phase, s.sRun.err = st.sRun.local, st.sRun.phase, st.sRun.err
 	s.pDone, s.sDone = st.pDone, st.sDone

@@ -413,6 +413,15 @@ func NormalizeStride(stride, horizon sim.Time) sim.Time {
 	return stride
 }
 
+// Divergent is an optional extension of sim.Hashable for models with
+// monotone latches — a fired safety mechanism, an error counter — that
+// the golden run never sets: NeverConverges reports that one is set,
+// so no later digest can match the golden trajectory and
+// GoldenTrajectory.RunToHorizon stops comparing.
+type Divergent interface {
+	NeverConverges() bool
+}
+
 // digest folds scheduler + model state into one hash value.
 func (tr *GoldenTrajectory) digest(k *sim.Kernel, m sim.Hashable) uint64 {
 	h := sim.NewStateHash()
@@ -431,7 +440,16 @@ func (tr *GoldenTrajectory) digest(k *sim.Kernel, m sim.Hashable) uint64 {
 // the suffix is byte-identical to the golden run's, so the final
 // observation is the golden one. Runs whose injections errored never
 // converge here — their campaign-error outcome requires the full path.
+//
+// A run stops comparing and runs straight to the horizon once it can
+// no longer converge: when it misses at a stride with its kernel fully
+// idle (nothing runnable, nothing notified, so its state is frozen),
+// or when the model implements Divergent and reports a latch the
+// golden run never sets. Skipping a comparison can only forgo an early
+// exit, never change an outcome, and it spares runs that settle or
+// latch early one digest per remaining stride.
 func (tr *GoldenTrajectory) RunToHorizon(k *sim.Kernel, m sim.Hashable, st *Stressor) (converged bool, at sim.Time, err error) {
+	div, _ := m.(Divergent)
 	now := k.Now()
 	checkable := true
 	checked := false
@@ -453,8 +471,14 @@ func (tr *GoldenTrajectory) RunToHorizon(k *sim.Kernel, m sim.Hashable, st *Stre
 				continue
 			}
 		}
+		if div != nil && div.NeverConverges() {
+			break
+		}
 		if tr.digest(k, m) == tr.Hashes[i] {
 			return true, t, nil
+		}
+		if !k.Pending() {
+			break
 		}
 	}
 	if err := k.RunUntil(tr.Horizon); err != nil {

@@ -49,9 +49,19 @@ type DMITarget interface {
 // InitiatorSocket is the initiator-side binding point. It forwards
 // blocking transport calls to the bound target and offers convenience
 // read/write helpers.
+//
+// Read32 and Write32 carry their transaction in a payload and a 4-byte
+// buffer the socket owns, so a word access does not allocate. Two
+// consequences: the helpers are not reentrant on one socket (a target
+// must not call back into the socket it is serving, and one socket
+// must not be driven from two goroutines), and a target must not
+// retain the *Payload, or its Data slice, after BTransport returns.
 type InitiatorSocket struct {
 	name   string
 	target Target
+
+	scratch Payload
+	buf     [4]byte
 }
 
 // NewInitiatorSocket creates a named, unbound initiator socket.
@@ -115,18 +125,36 @@ func (s *InitiatorSocket) Write(addr uint64, data []byte, delay *sim.Time) Respo
 	return p.Response
 }
 
-// Read32 reads a little-endian 32-bit word.
-func (s *InitiatorSocket) Read32(addr uint64, delay *sim.Time) (uint32, Response) {
-	data, resp := s.Read(addr, 4, delay)
-	if !resp.OK() {
-		return 0, resp
-	}
-	return uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24, resp
+// word re-initializes the socket-owned scratch payload for a one-word
+// transaction, field by field: whatever the previous target left on it
+// (response, extensions, a swapped data slice) is cleared.
+func (s *InitiatorSocket) word(cmd Command, addr uint64) *Payload {
+	p := &s.scratch
+	p.Command, p.Address, p.Data, p.ByteEnable = cmd, addr, s.buf[:], nil
+	p.Response, p.DMIAllowed, p.ext = RespIncomplete, false, nil
+	return p
 }
 
-// Write32 writes a little-endian 32-bit word.
+// Read32 reads a little-endian 32-bit word without allocating; see the
+// type comment for the reentrancy rule.
+func (s *InitiatorSocket) Read32(addr uint64, delay *sim.Time) (uint32, Response) {
+	s.buf = [4]byte{}
+	p := s.word(CmdRead, addr)
+	s.BTransport(p, delay)
+	if !p.Response.OK() {
+		return 0, p.Response
+	}
+	data := p.Data
+	return uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24, p.Response
+}
+
+// Write32 writes a little-endian 32-bit word without allocating; see
+// the type comment for the reentrancy rule.
 func (s *InitiatorSocket) Write32(addr uint64, v uint32, delay *sim.Time) Response {
-	return s.Write(addr, []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}, delay)
+	s.buf = [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
+	p := s.word(CmdWrite, addr)
+	s.BTransport(p, delay)
+	return p.Response
 }
 
 // TargetFunc adapts a plain function to the Target interface.

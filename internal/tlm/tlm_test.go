@@ -2,6 +2,9 @@ package tlm
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -236,6 +239,56 @@ func TestSocketHelpers(t *testing.T) {
 	data, resp := s.Read(0x10, 2, &d)
 	if !resp.OK() || !bytes.Equal(data, []byte{0xef, 0xbe}) {
 		t.Errorf("Read = %x, %v", data, resp)
+	}
+}
+
+// TestSocketWordAccessZeroAlloc pins the allocation-free word path:
+// Read32 and Write32 reuse the socket's scratch payload and buffer.
+func TestSocketWordAccessZeroAlloc(t *testing.T) {
+	s := NewInitiatorSocket("init")
+	s.Bind(NewMemory("ram", 0, 64))
+	var d sim.Time
+	allocs := testing.AllocsPerRun(100, func() {
+		if resp := s.Write32(0x10, 0xdeadbeef, &d); !resp.OK() {
+			t.Fatal(resp)
+		}
+		if v, resp := s.Read32(0x10, &d); !resp.OK() || v != 0xdeadbeef {
+			t.Fatalf("Read32 = %#x, %v", v, resp)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Read32/Write32 on Memory: %v allocs per access pair, want 0", allocs)
+	}
+}
+
+// TestSocketWordAccessFreshPayload: whatever a target leaves on the
+// scratch payload (extensions, byte enables, a response, a swapped
+// data slice) does not reach the next word access.
+func TestSocketWordAccessFreshPayload(t *testing.T) {
+	s := NewInitiatorSocket("init")
+	var seen []string
+	s.Bind(TargetFunc(func(p *Payload, _ *sim.Time) {
+		_, ext := p.Extension("tag")
+		seen = append(seen, fmt.Sprintf("%s %#x len=%d be=%v resp=%s ext=%v data=%x",
+			p.Command, p.Address, len(p.Data), p.ByteEnable != nil, p.Response, ext, p.Data))
+		p.SetExtension("tag", 1)
+		p.ByteEnable = []byte{0}
+		p.Data = []byte{1, 2, 3, 4, 5}
+		p.Response = RespOK
+	}))
+	var d sim.Time
+	s.Write32(0x20, 0x11223344, &d)
+	if v, _ := s.Read32(0x24, &d); v != 0x04030201 {
+		t.Errorf("Read32 = %#x, want the target's data", v)
+	}
+	s.Write32(0x28, 0, &d)
+	want := []string{
+		"write 0x20 len=4 be=false resp=incomplete ext=false data=44332211",
+		"read 0x24 len=4 be=false resp=incomplete ext=false data=00000000",
+		"write 0x28 len=4 be=false resp=incomplete ext=false data=00000000",
+	}
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("target saw\n%s\nwant\n%s", strings.Join(seen, "\n"), strings.Join(want, "\n"))
 	}
 }
 
